@@ -11,11 +11,13 @@ label row per view, fancy-indexes each meta-batch into reused buffers, and
 the float32 meta stack skips the content-wide input-gradient GEMMs its
 predecessor paid.
 
-The reference timed here reproduces that seed pipeline faithfully — dense
-float64 items fed to ``MAML.fit``'s materialized path, with the discarded
-embedding input-gradient GEMMs restored (:class:`SeedReferenceModel`) —
-so the measured ratio is the end-to-end meta-training speedup of the
-packed redesign, not a comparison against an already-optimized reference.
+The reference timed here is the per-task dense oracle of
+``tests/maml_oracle.py`` fed the seed's data layout — dense float64 task
+arrays with ``np.repeat``-tiled user rows, one task at a time, with the
+discarded embedding input-gradient GEMMs restored
+(:class:`SeedReferenceModel`) — so the measured ratio is the end-to-end
+meta-training speedup of the packed path over the plain per-task
+definition, not a comparison against an already-optimized reference.
 
 Geometry mirrors the repo bench scale (``BenchmarkScale(160, 110)``,
 target Books): content dim 300, ~112 warm tasks with 15-39 support/query
@@ -24,7 +26,8 @@ rows, k=3 augmented views.  Asserted at bench scale:
 - **throughput**: packed ``MAML.fit`` >= 3x the seed reference
   (best-of-N minima, per the repo's single-core-VM convention);
 - **memory**: the packed corpus holds >= 5x fewer bytes than the dense
-  task layout at k=3 (in practice it is orders of magnitude).
+  float64 task layout at k=3, counted from the corpus lengths (in practice
+  it is orders of magnitude).
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from maml_oracle import DenseTask, adapt, dense_nbytes, meta_step
 
 from repro.data.tasks import PreferenceTask
 from repro.meta.corpus import TaskCorpusBuilder, pack_content
-from repro.meta.maml import MAML, MAMLConfig, TaskBatchItem
+from repro.meta.maml import MAML, MAMLConfig
 from repro.meta.model import PreferenceModel, PreferenceModelConfig
 from repro.nn.losses import binary_cross_entropy, binary_cross_entropy_tasks
 from repro.utils.timing import Timer
@@ -102,10 +106,10 @@ def _model(dtype=np.float32, cls=PreferenceModel) -> PreferenceModel:
     )
 
 
-def _seed_materialize(user_content, item_content, task) -> TaskBatchItem:
+def _seed_materialize(user_content, item_content, task) -> DenseTask:
     """Dense float64 task arrays exactly as the seed built them."""
     cu = user_content[task.user_row]
-    return TaskBatchItem(
+    return DenseTask(
         support_user=np.repeat(cu[None, :], task.support_items.size, axis=0),
         support_item=item_content[task.support_items],
         support_labels=np.asarray(task.support_labels, dtype=np.float64),
@@ -121,7 +125,7 @@ def _build(seed: int = 0):
     user_content = rng.random((N_USERS, CONTENT_DIM))
     item_content = rng.random((N_ITEMS, CONTENT_DIM))
     builder = TaskCorpusBuilder(pack_content(user_content, item_content))
-    dense_items: list[TaskBatchItem] = []
+    dense_items: list[DenseTask] = []
     for _ in range(N_TASKS):
         n_s = int(rng.integers(15, 40))
         n_q = int(rng.integers(15, 40))
@@ -144,24 +148,30 @@ def _build(seed: int = 0):
     return builder.build(), dense_items
 
 
+def _reference_fit(maml: MAML, items: list[DenseTask], epochs: int) -> None:
+    """Shuffled meta-batches of dense items through the per-task oracle."""
+    order = np.arange(len(items))
+    bs = maml.config.meta_batch_size
+    for _ in range(epochs):
+        maml._rng.shuffle(order)
+        for start in range(0, order.size, bs):
+            meta_step(maml, [items[i] for i in order[start : start + bs]])
+
+
 def test_packed_fit_speedup_and_memory(benchmark):
-    """``MAML.fit``: packed corpus vs the seed's dense-float64 pipeline."""
+    """``MAML.fit``: packed corpus vs the per-task dense-float64 oracle."""
     corpus, dense_items = _build()
-    packed = MAML(_model(), MAMLConfig(packed=True), seed=0)
-    seed_ref = MAML(
-        _model(dtype=np.float64, cls=SeedReferenceModel),
-        MAMLConfig(packed=False),
-        seed=0,
-    )
+    packed = MAML(_model(), MAMLConfig(), seed=0)
+    seed_ref = MAML(_model(dtype=np.float64, cls=SeedReferenceModel), seed=0)
     packed.fit(corpus, epochs=1)  # warm both paths (scratch, caches)
-    seed_ref.fit(dense_items, epochs=1)
+    _reference_fit(seed_ref, dense_items, epochs=1)
 
     rounds = 3
     t_ref = []
     t_packed = []
     for _ in range(rounds):
         with Timer() as t:
-            seed_ref.fit(dense_items, epochs=EPOCHS)
+            _reference_fit(seed_ref, dense_items, epochs=EPOCHS)
         t_ref.append(t.elapsed)
         with Timer() as t:
             packed.fit(corpus, epochs=EPOCHS)
@@ -172,18 +182,7 @@ def test_packed_fit_speedup_and_memory(benchmark):
     # Best-of-N minima: single-core VM timing is noisy upward, never down.
     speedup = min(t_ref) / max(min(t_packed), 1e-9)
     corpus_bytes = corpus.nbytes
-    dense_bytes = sum(
-        arr.nbytes
-        for item in dense_items
-        for arr in (
-            item.support_user,
-            item.support_item,
-            item.support_labels,
-            item.query_user,
-            item.query_item,
-            item.query_labels,
-        )
-    )
+    dense_bytes = dense_nbytes(corpus, dtype=np.float64)
     memory_ratio = dense_bytes / corpus_bytes
     views_per_second = corpus.n_views * EPOCHS / max(min(t_packed), 1e-9)
 
@@ -207,24 +206,20 @@ def test_packed_fit_speedup_and_memory(benchmark):
 
 
 def test_packed_adapt_corpus_speedup(benchmark):
-    """Serving-side packed adaptation vs the seed's dense ``adapt_many``."""
+    """Serving-side packed adaptation vs per-task dense-float64 adaptation."""
     corpus, dense_items = _build(seed=1)
     packed = MAML(_model(), MAMLConfig(), seed=0)
-    seed_ref = MAML(
-        _model(dtype=np.float64, cls=SeedReferenceModel),
-        MAMLConfig(packed=False),
-        seed=0,
-    )
+    seed_ref = MAML(_model(dtype=np.float64, cls=SeedReferenceModel), seed=0)
     steps = 5
     packed.adapt_corpus(corpus, steps=steps)  # warm up
-    seed_ref.adapt_many(dense_items, steps=steps)
+    [adapt(seed_ref, item, steps) for item in dense_items]
 
     rounds = 3
     t_ref = []
     t_packed = []
     for _ in range(rounds):
         with Timer() as t:
-            seed_ref.adapt_many(dense_items, steps=steps)
+            [adapt(seed_ref, item, steps) for item in dense_items]
         t_ref.append(t.elapsed)
         with Timer() as t:
             packed.adapt_corpus(corpus, steps=steps)
@@ -243,6 +238,6 @@ def test_packed_adapt_corpus_speedup(benchmark):
         f"\nadapt over {corpus.n_views} views: seed reference {min(t_ref):.4f}s, "
         f"packed {min(t_packed):.4f}s ({speedup:.1f}x)"
     )
-    # adapt_many already pre-materialized its items once (no per-step
-    # rebuild), so the packed win here is content copies + float32 math.
+    # The reference items are materialized once (no per-step rebuild), so
+    # the packed win here is batching, content copies and float32 math.
     assert speedup >= min(SPEEDUP_FLOOR, 2.0)

@@ -12,10 +12,10 @@ import os
 
 import numpy as np
 import pytest
+from maml_oracle import dense_task
 
 from repro.data.experiment import prepare_experiment
 from repro.data.splits import Scenario
-from repro.meta.maml import materialize_task
 from repro.registry import build_method
 from repro.service import RecommenderService
 from repro.utils.timing import Timer
@@ -76,14 +76,15 @@ def served_melu(dataset):
 
 
 def test_service_batch_adaptation_speedup(benchmark, served_melu):
-    """A flush of cold-start users: one vectorized adapt_users vs a loop.
+    """A flush of cold-start users: one batched adapt_users vs a loop.
 
     This is the serving-time win of the stacked-parameter redesign —
     ``recommend_many`` (and every micro-batch flush) fine-tunes all uncached
-    users through one vectorized inner loop instead of one per user; MeLU's
+    users through one batched inner loop instead of one per user; MeLU's
     decision-only restriction additionally embeds each support set once
     instead of once per inner step.  The loop baseline is the pre-redesign
-    per-user path: one full-model fine-tuning run per user.
+    per-user path: one full-model fine-tuning run per user over the dense
+    task arrays of the test oracle (``tests/maml_oracle.py``).
     """
     method, tasks = served_melu
     cold = tasks[:16]
@@ -92,7 +93,7 @@ def test_service_batch_adaptation_speedup(benchmark, served_melu):
 
     def legacy_adapt_user(task):
         """The pre-redesign per-user path: full backward every inner step."""
-        item = materialize_task(
+        item = dense_task(
             serving.user_content,
             serving.item_content,
             task.user_row,

@@ -10,8 +10,8 @@ budget (about a minute on a laptop):
 5. save the fitted model to an artifact, reload it, and serve top-k
    recommendations through :class:`repro.service.RecommenderService` —
    including a batch of cold-start users whose support-set fine-tuning
-   runs as ONE vectorized MAML inner loop (``adapt_users`` /
-   ``MAML.adapt_many``, the stacked-parameter adaptation API).
+   runs as ONE batched MAML inner loop (``adapt_users`` /
+   ``MAML.adapt_corpus``, the stacked-parameter adaptation API).
 
 Usage:  python examples/quickstart.py
 """

@@ -228,7 +228,7 @@ class Recommender(abc.ABC):
 
         The batched counterpart of :meth:`adapt_user`: meta-learners
         override it to fine-tune a whole batch of cold-start users in one
-        vectorized inner loop (one numpy pass per gradient step instead of
+        batched inner loop (one numpy pass per gradient step instead of
         one per user).  The default simply loops.  Repeated task *objects*
         may be deduplicated — callers get one state per position either
         way.
@@ -273,7 +273,7 @@ class Recommender(abc.ABC):
         """Score many instances with per-instance adapted states.
 
         This is the coalescing entry point used by the service's
-        micro-batching queue; methods with vectorized forwards override it.
+        micro-batching queue; methods with batched forwards override it.
         """
         if len(states) != len(instances):
             raise ValueError("states and instances must align")

@@ -75,7 +75,7 @@ def _batch_rank_stats(
     Trials are padded into a single matrix with NaN; NaN compares false
     against the positive exactly like the scalar helpers treat out-of-range
     (or genuinely NaN) scores, so padding never shifts a rank.  This is the
-    aggregation hot path every grid cell pays — one vectorized pass instead
+    aggregation hot path every grid cell pays — one whole-array pass instead
     of four Python loops over the trial list.
     """
     arrays = []
@@ -110,7 +110,7 @@ class MetricSet:
 
     @staticmethod
     def from_score_lists(score_lists: list[np.ndarray], k: int = 10) -> "MetricSet":
-        """Aggregate metrics over many leave-one-out trials (vectorized)."""
+        """Aggregate metrics over many leave-one-out trials in one array pass."""
         _check_k(k)
         if not score_lists:
             return MetricSet(hr=0.0, mrr=0.0, ndcg=0.0, auc=0.0, n_trials=0, k=k)

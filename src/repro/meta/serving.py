@@ -232,7 +232,7 @@ class MAMLServingMixin(PackedContentMixin):
         return self.adapt_users([task])[0]
 
     def adapt_users(self, tasks):
-        """Fine-tune a whole batch of users in one vectorized inner loop."""
+        """Fine-tune a whole batch of users in one batched inner loop."""
         maml = self._require_maml()
         content = self._packed_content()
         return adapt_task_states(

@@ -311,7 +311,7 @@ class MetricsRegistry:
     def observe_many(self, name: str, values) -> None:
         """Record a batch of observations into one histogram.
 
-        One lock acquisition and one vectorized bucket count for the whole
+        One lock acquisition and one array-wide bucket count for the whole
         batch (see :meth:`Histogram.observe_many`) — the per-request cost
         of batch-serving sites recording e.g. per-request pool sizes.
         """

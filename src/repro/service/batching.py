@@ -1,7 +1,7 @@
 """Micro-batching request queue for the serving facade.
 
 Concurrent ``recommend`` calls each need one model forward; methods with
-vectorized ``score_with_state_batch`` implementations (MeLU, MetaDPA) do
+batched ``score_with_state_batch`` implementations (MeLU, MetaDPA) do
 much better scoring many candidate lists in one forward.  The
 :class:`MicroBatcher` coalesces requests that arrive within a short window
 into a single batched call and distributes the per-request results through

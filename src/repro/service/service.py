@@ -10,13 +10,13 @@ artifact:
   fine-tuning of meta-learners (MeLU, MetaDPA) is paid once per user
   rather than once per request,
 - an optional micro-batching queue coalescing concurrent ``recommend``
-  calls into one vectorized ``score_with_state_batch``.
+  calls into one batched ``score_with_state_batch``.
 
 Cold-start adaptation is batched wherever more than one user needs it at
 once: :meth:`RecommenderService.recommend_many` and every micro-batch
 flush route uncached users through the method's ``adapt_users`` — for
-MAML-based methods one vectorized inner loop over the whole batch of
-support sets (``MAML.adapt_many``) — instead of fine-tuning them one by
+MAML-based methods one batched inner loop over the whole batch of
+support sets (``MAML.adapt_corpus``) — instead of fine-tuning them one by
 one.
 
 A user's support set enters through ``recommend(..., task=...)`` or
@@ -119,7 +119,7 @@ class _PendingAdaptation:
     """A cache-missed user riding into a micro-batch flush un-adapted.
 
     The flush resolves all pending entries with one ``adapt_users`` call,
-    so a burst of cold-start users pays one vectorized inner loop instead
+    so a burst of cold-start users pays one batched inner loop instead
     of one fine-tuning run per request.
     """
 
@@ -380,7 +380,7 @@ class RecommenderService:
 
         Entries arriving as :class:`_PendingAdaptation` (cache misses at
         submit time) are resolved here with a single ``adapt_users`` call —
-        the whole flush's cold-start fine-tuning in one vectorized inner
+        the whole flush's cold-start fine-tuning in one batched inner
         loop — and the fresh states are written back to the LRU cache
         before scoring.
         """
@@ -468,7 +468,7 @@ class RecommenderService:
         """Serve a flush of requests: batched adaptation, solo scoring.
 
         Cache-missed users are fine-tuned *together* through one
-        ``adapt_users`` call (for MAML methods one vectorized inner loop
+        ``adapt_users`` call (for MAML methods one batched inner loop
         over same-width chunks), but every request is then scored through
         the same ``score_with_state`` call :meth:`recommend` uses — so the
         results are bit-identical to serving the requests one at a time.
@@ -630,7 +630,7 @@ class RecommenderService:
         """Serve a batch of users through one ``score_with_state_batch``.
 
         Users without a cached adaptation are fine-tuned *together* through
-        the method's ``adapt_users`` (one vectorized inner loop for the
+        the method's ``adapt_users`` (one batched inner loop for the
         whole batch) before the single batched scoring pass.
         """
         states = self._states_for(user_rows)

@@ -1,11 +1,12 @@
-"""Stacked-parameter helpers, TaskBatch padding, and artifact round-trips."""
+"""Stacked-parameter helpers, task-batch padding, and artifact round-trips."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.meta.maml import TaskBatch, TaskBatchItem
+from repro.data.tasks import PreferenceTask
+from repro.meta.corpus import TaskCorpusBuilder, pack_content
 from repro.nn import (
     load_params,
     save_params,
@@ -99,34 +100,60 @@ class TestStackedSerialization:
             assert part["W"].shape == (3, 2)
 
 
-def _item(seed: int, n_support: int, n_query: int, dim: int = 4) -> TaskBatchItem:
+def _task(seed: int, n_support: int, n_query: int) -> PreferenceTask:
     rng = np.random.default_rng(seed)
-    return TaskBatchItem(
-        support_user=rng.random((n_support, dim)),
-        support_item=rng.random((n_support, dim)),
+    return PreferenceTask(
+        user_row=seed,
+        support_items=rng.choice(10, size=n_support, replace=False),
         support_labels=(rng.random(n_support) < 0.5).astype(float),
-        query_user=rng.random((n_query, dim)),
-        query_item=rng.random((n_query, dim)),
+        query_items=rng.choice(10, size=n_query, replace=False),
         query_labels=(rng.random(n_query) < 0.5).astype(float),
     )
 
 
+def _corpus(tasks: list[PreferenceTask], dim: int = 4):
+    content = pack_content(RNG.random((len(tasks), dim)), RNG.random((10, dim)))
+    builder = TaskCorpusBuilder(content)
+    builder.extend(tasks)
+    return builder.build()
+
+
 class TestTaskBatch:
+    """``TaskCorpus.gather_batch`` pads ragged tasks to the widest one."""
+
     def test_pads_ragged_tasks_to_widest(self):
-        batch = TaskBatch.from_items([_item(0, 3, 2), _item(1, 5, 4)])
+        batch = _corpus([_task(0, 3, 2), _task(1, 5, 4)]).gather_batch(np.arange(2))
         assert len(batch) == 2
-        assert batch.support_user.shape == (2, 5, 4)
+        assert batch.support_items.shape == (2, 5)
         assert batch.query_labels.shape == (2, 4)
         np.testing.assert_array_equal(batch.support_mask[0], [1, 1, 1, 0, 0])
+        np.testing.assert_array_equal(batch.support_mask[1], [1, 1, 1, 1, 1])
+        np.testing.assert_array_equal(batch.query_mask[0], [1, 1, 0, 0])
         np.testing.assert_array_equal(batch.query_mask[1], [1, 1, 1, 1])
 
     def test_real_rows_preserved_padding_zero(self):
-        items = [_item(0, 2, 1), _item(1, 4, 3)]
-        batch = TaskBatch.from_items(items)
-        np.testing.assert_array_equal(batch.support_user[0, :2], items[0].support_user)
-        np.testing.assert_array_equal(batch.support_user[0, 2:], 0.0)
-        np.testing.assert_array_equal(batch.support_labels[1], items[1].support_labels)
+        tasks = [_task(0, 2, 1), _task(1, 4, 3)]
+        corpus = _corpus(tasks)
+        batch = corpus.gather_batch(np.arange(2))
+        np.testing.assert_array_equal(batch.user_rows, [0, 1])
+        np.testing.assert_array_equal(batch.support_items[0, :2], tasks[0].support_items)
+        np.testing.assert_array_equal(batch.support_items[1], tasks[1].support_items)
+        # Padded positions hold a valid index (the pool's first entry) under
+        # a zero mask and an exactly-zero label.
+        np.testing.assert_array_equal(
+            batch.support_items[0, 2:], corpus.support_items[0]
+        )
+        np.testing.assert_array_equal(
+            batch.support_labels[0],
+            [*tasks[0].support_labels.astype(np.float32), 0.0, 0.0],
+        )
+        np.testing.assert_array_equal(
+            batch.support_labels[1], tasks[1].support_labels.astype(np.float32)
+        )
+        np.testing.assert_array_equal(
+            batch.query_labels[0], [tasks[0].query_labels[0], 0.0, 0.0]
+        )
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            TaskBatch.from_items([])
+            _corpus([_task(0, 2, 1)]).gather_batch(np.array([], dtype=np.int64))

@@ -2,26 +2,29 @@
 
 Property tests (hypothesis-driven shapes and seeds) asserting that every
 stacked computation — layers, losses, :class:`PreferenceModel`, the
-vectorized MAML inner loop, ``meta_step`` and ``adapt_many``, and the
+batched MAML inner loop, ``meta_step_corpus`` and ``adapt_corpus``, and the
 stacked candidate-scoring backend — produces the same outputs, gradients
 and optimizer states (to fp tolerance) as running the scalar per-task
-reference one task at a time.  These are the acceptance tests of the
+reference one task at a time (for MAML, the dense oracle of
+``tests/maml_oracle.py`` over a float64 corpus).  These are the acceptance tests of the
 stacked-parameter redesign: any divergence means the vectorization changed
 the math, not just the speed.
 """
 
 from __future__ import annotations
 
+import maml_oracle as oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.data.tasks import PreferenceTask
+from repro.meta.corpus import TaskCorpusBuilder, pack_content
 from repro.meta.maml import (
     MAML,
     MAMLConfig,
-    TaskBatch,
-    TaskBatchItem,
+    adapt_task_states,
     batched_candidate_scores,
 )
 from repro.meta.model import PreferenceModel, PreferenceModelConfig
@@ -40,6 +43,7 @@ from repro.nn import (
     mlp,
     stack_params,
 )
+from repro.nn.stacking import pad_axis
 
 RTOL = 1e-9
 ATOL = 1e-11
@@ -216,21 +220,55 @@ def _model(content_dim: int = 5) -> PreferenceModel:
 
 
 def _items(rng: np.random.Generator, n_tasks: int, content_dim: int = 5):
+    """Ragged dense support sets with a distinct user row per support row."""
     out = []
     for _ in range(n_tasks):
         n_s = int(rng.integers(1, 7))
-        n_q = int(rng.integers(1, 5))
         out.append(
-            TaskBatchItem(
-                support_user=rng.random((n_s, content_dim)),
-                support_item=rng.random((n_s, content_dim)),
-                support_labels=(rng.random(n_s) < 0.5).astype(float),
-                query_user=rng.random((n_q, content_dim)),
-                query_item=rng.random((n_q, content_dim)),
-                query_labels=(rng.random(n_q) < 0.5).astype(float),
+            (
+                rng.random((n_s, content_dim)),
+                rng.random((n_s, content_dim)),
+                (rng.random(n_s) < 0.5).astype(float),
             )
         )
     return out
+
+
+def _padded(arrays, width: int) -> np.ndarray:
+    return np.stack([pad_axis(a, 0, width) for a in arrays])
+
+
+N_USERS = 8
+N_ITEMS = 20
+
+
+def _tasks(rng: np.random.Generator, n_tasks: int) -> list[PreferenceTask]:
+    tasks = []
+    for _ in range(n_tasks):
+        n_s = int(rng.integers(1, 7))
+        n_q = int(rng.integers(1, 5))
+        tasks.append(
+            PreferenceTask(
+                user_row=int(rng.integers(0, N_USERS)),
+                support_items=rng.choice(N_ITEMS, size=n_s, replace=False),
+                support_labels=(rng.random(n_s) < 0.5).astype(float),
+                query_items=rng.choice(N_ITEMS, size=n_q, replace=False),
+                query_labels=(rng.random(n_q) < 0.5).astype(float),
+            )
+        )
+    return tasks
+
+
+def _corpus(rng: np.random.Generator, n_tasks: int, content_dim: int = 5):
+    """A ragged float64 corpus: one view per task, one user row per task."""
+    content = pack_content(
+        rng.random((N_USERS, content_dim)),
+        rng.random((N_ITEMS, content_dim)),
+        dtype=np.float64,
+    )
+    builder = TaskCorpusBuilder(content)
+    builder.extend(_tasks(rng, n_tasks))
+    return builder.build()
 
 
 class TestModelEquivalence:
@@ -241,18 +279,17 @@ class TestModelEquivalence:
         model = _model()
         params_list = [model.init_params(int(rng.integers(0, 2**31))) for _ in range(n_tasks)]
         items = _items(rng, n_tasks)
-        batch = TaskBatch.from_items(items)
+        width = max(labels.size for _, _, labels in items)
+        mask = _padded([np.ones(labels.size) for _, _, labels in items], width)
         losses, grads = model.loss_and_grads(
             stack_params(params_list),
-            batch.support_user,
-            batch.support_item,
-            batch.support_labels,
-            mask=batch.support_mask,
+            _padded([user for user, _, _ in items], width),
+            _padded([item for _, item, _ in items], width),
+            _padded([labels for _, _, labels in items], width),
+            mask=mask,
         )
-        for t, (params, item) in enumerate(zip(params_list, items)):
-            loss_t, grads_t = model.loss_and_grads(
-                params, item.support_user, item.support_item, item.support_labels
-            )
+        for t, (params, (user, item, labels)) in enumerate(zip(params_list, items)):
+            loss_t, grads_t = model.loss_and_grads(params, user, item, labels)
             np.testing.assert_allclose(losses[t], loss_t, rtol=RTOL, atol=ATOL)
             _assert_tree_close({k: v[t] for k, v in grads.items()}, grads_t)
 
@@ -267,15 +304,17 @@ class TestMAMLEquivalence:
     def test_meta_step_vectorized_matches_loop(self, n_tasks, local_only, seed):
         """Same params, same losses, same Adam moments after three steps."""
         rng = np.random.default_rng(seed)
-        items = _items(rng, n_tasks)
+        corpus = _corpus(rng, n_tasks)
+        ids = np.arange(corpus.n_views)
+        items = oracle.dense_tasks(corpus)
         config = dict(inner_lr=0.1, inner_steps=2, outer_lr=1e-2,
                       local_only_decision=local_only)
-        vec = MAML(_model(), MAMLConfig(vectorize=True, **config), seed=seed)
-        ref = MAML(_model(), MAMLConfig(vectorize=False, **config), seed=seed)
+        vec = MAML(_model(), MAMLConfig(**config), seed=seed)
+        ref = MAML(_model(), MAMLConfig(**config), seed=seed)
         _assert_tree_close(vec.params, ref.params)
         for _ in range(3):
-            loss_vec = vec.meta_step(items)
-            loss_ref = ref.meta_step(items)
+            loss_vec = vec.meta_step_corpus(corpus, ids)
+            loss_ref = oracle.meta_step(ref, items)
             np.testing.assert_allclose(loss_vec, loss_ref, rtol=1e-8, atol=1e-10)
         _assert_tree_close(vec.params, ref.params)
         _assert_tree_close(vec._optimizer._m, ref._optimizer._m)
@@ -289,17 +328,17 @@ class TestMAMLEquivalence:
         seed=seeds,
     )
     @settings(max_examples=15, deadline=None)
-    def test_adapt_many_matches_adapt(self, n_tasks, steps, local_only, seed):
+    def test_adapt_corpus_matches_adapt(self, n_tasks, steps, local_only, seed):
         rng = np.random.default_rng(seed)
         maml = MAML(
             _model(),
             MAMLConfig(inner_lr=0.1, local_only_decision=local_only),
             seed=seed,
         )
-        items = _items(rng, n_tasks)
-        fasts = maml.adapt_many(items, steps=steps, max_chunk=3)
-        for item, fast in zip(items, fasts):
-            _assert_tree_close(fast, maml.adapt(item, steps=steps))
+        corpus = _corpus(rng, n_tasks)
+        fasts = maml.adapt_corpus(corpus, steps=steps, max_chunk=3)
+        for item, fast in zip(oracle.dense_tasks(corpus), fasts):
+            _assert_tree_close(fast, oracle.adapt(maml, item, steps=steps))
 
     @given(n_tasks=st.integers(2, 5), seed=seeds)
     @settings(max_examples=10, deadline=None)
@@ -309,8 +348,7 @@ class TestMAMLEquivalence:
 
         rng = np.random.default_rng(seed)
         maml = MAML(_model(), MAMLConfig(inner_lr=0.1), seed=seed)
-        items = _items(rng, n_tasks)
-        states = maml.adapt_many(items, steps=2)
+        states = maml.adapt_corpus(_corpus(rng, n_tasks), steps=2)
         user_content = rng.random((n_tasks + 2, 5))
         item_content = rng.random((20, 5))
         instances = [
@@ -344,8 +382,7 @@ class TestMAMLEquivalence:
 
         rng = np.random.default_rng(7)
         maml = MAML(_model(), MAMLConfig(inner_lr=0.1), seed=7)
-        items = _items(rng, 3)
-        adapted = maml.adapt_many(items, steps=2)
+        adapted = maml.adapt_corpus(_corpus(rng, 3), steps=2)
         user_content = rng.random((10, 5))
         item_content = rng.random((50, 5))
         # Six un-adapted requests (None -> shared meta params, big group
@@ -370,21 +407,29 @@ class TestMAMLEquivalence:
             )
             np.testing.assert_allclose(scores, expected, rtol=1e-8, atol=1e-10)
 
-    def test_adapt_many_states_do_not_pin_chunk_storage(self):
+    def test_adapt_corpus_states_do_not_pin_chunk_storage(self):
         """Cached per-user fast weights own their arrays (no chunk views)."""
         rng = np.random.default_rng(0)
         maml = MAML(_model(), MAMLConfig(inner_lr=0.1), seed=0)
-        items = _items(rng, 4)
-        states = maml.adapt_many(items, steps=1)
+        states = maml.adapt_corpus(_corpus(rng, 4), steps=1)
         for state in states:
             for name, value in state.items():
                 assert value.base is None or value.base is maml.params.get(name), name
 
     def test_finetune_delegates_to_adapt(self):
+        """Serving fine-tuning (``adapt_task_states``) is ``adapt_corpus``."""
+        rng = np.random.default_rng(0)
         maml = MAML(_model(), MAMLConfig(inner_steps=1), seed=0)
-        item = _items(np.random.default_rng(0), 1)[0]
-        _assert_tree_close(maml.finetune(item, steps=2), maml.adapt(item, steps=2))
-        _assert_tree_close(maml.finetune(item), maml.adapt(item))
+        content = pack_content(rng.random((N_USERS, 5)), rng.random((N_ITEMS, 5)))
+        tasks = _tasks(rng, 3)
+        builder = TaskCorpusBuilder(content)
+        builder.extend(tasks)
+        for steps in (2, maml.config.inner_steps):
+            states = adapt_task_states(maml, content.user, content.item, tasks, steps)
+            expected = maml.adapt_corpus(builder.build(), steps=steps)
+            for state, fast in zip(states, expected):
+                for name in fast:
+                    np.testing.assert_array_equal(state[name], fast[name])
 
 
 class TestStackedOptimizer:

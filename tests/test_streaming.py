@@ -95,11 +95,9 @@ def _assert_corpora_identical(grown: TaskCorpus, rebuilt: TaskCorpus) -> None:
         np.testing.assert_array_equal(
             getattr(a, field), getattr(b, field), err_msg=field
         )
-    for x, y in zip(grown.materialize(), rebuilt.materialize()):
-        np.testing.assert_array_equal(x.support_item, y.support_item)
-        np.testing.assert_array_equal(x.support_labels, y.support_labels)
-        np.testing.assert_array_equal(x.query_item, y.query_item)
-        np.testing.assert_array_equal(x.query_labels, y.query_labels)
+    for view in ids:
+        for x, y in zip(grown.view_arrays(view), rebuilt.view_arrays(view)):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestPackedContentExtend:

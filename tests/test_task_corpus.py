@@ -5,18 +5,19 @@ Two layers of guarantees:
 1. **Structural** — offset/bucket bookkeeping on ragged task sets, label
    views aliasing (never copying) their parent's index arrays, zero-copy
    view access, empty-support tasks.
-2. **Numerical** — the packed data path (``MAMLConfig.packed=True``:
-   fancy-indexed batches, gather-on-forward content, broadcast user rows)
-   reproduces the materialized :class:`TaskBatchItem` reference
-   (``packed=False``) through identical schedules: per-step losses,
+2. **Numerical** — the packed MAML path (fancy-indexed batches,
+   gather-on-forward content, broadcast user rows, stacked fast weights)
+   reproduces the per-task dense oracle of ``tests/maml_oracle.py`` run on
+   materialized view arrays through identical schedules: per-step losses,
    gradients, Adam state and full ``fit`` traces agree to float32
    rounding.  Both runs draw their schedules from identically seeded
    generators (the repo's pre-drawn rng-stream convention), so only the
-   data path differs.
+   data path and the batching differ.
 """
 
 from __future__ import annotations
 
+import maml_oracle as oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from repro.meta.corpus import (
     TaskCorpusBuilder,
     pack_content,
 )
-from repro.meta.maml import MAML, MAMLConfig, TaskBatch, adapt_task_states
+from repro.meta.maml import MAML, MAMLConfig, adapt_task_states
 from repro.meta.model import PreferenceModel, PreferenceModelConfig
 
 CONTENT_DIM = 5
@@ -36,7 +37,8 @@ N_ITEMS = 30
 N_USERS = 8
 
 # float32 rounding tolerances: packed and materialized differ only in the
-# user-embedding reduction order (one embed + broadcast vs per-row copies).
+# reduction order (one user embed + broadcast vs per-row copies, padded
+# task-batched sums vs per-task sums).
 RTOL = 2e-4
 ATOL = 1e-5
 
@@ -213,17 +215,31 @@ class TestConstruction:
         corpus, _ = _corpus(seed=8, n_tasks=5, k_views=2)
         ids = np.array([0, 3, 7, 11])
         batch = corpus.gather_batch(ids, scratch=BatchScratch())
-        dense = TaskBatch.from_items(corpus.materialize(ids))
-        np.testing.assert_array_equal(batch.support_mask, dense.support_mask)
-        np.testing.assert_array_equal(batch.query_mask, dense.query_mask)
-        np.testing.assert_array_equal(batch.support_labels, dense.support_labels)
-        np.testing.assert_array_equal(batch.query_labels, dense.query_labels)
-        # Gathered item content at real positions == the dense copies.
+        s_width = max(int(corpus.view_support_lens(ids).max()), 1)
+        q_width = int(corpus.query_lens[corpus.view_base[ids]].max())
+        assert batch.support_items.shape == (ids.size, s_width)
+        assert batch.query_items.shape == (ids.size, q_width)
         content = corpus.content
-        ci = content.item[batch.support_items] * batch.support_mask[..., None]
-        np.testing.assert_array_equal(
-            ci, dense.support_item * dense.support_mask[..., None]
-        )
+        for t, view in enumerate(ids):
+            row, s_items, s_labels, q_items, q_labels = corpus.view_arrays(int(view))
+            n_s, n_q = s_items.size, q_items.size
+            assert batch.user_rows[t] == row
+            # Real rows first, then zero labels under a zero mask.
+            np.testing.assert_array_equal(batch.support_mask[t, :n_s], 1.0)
+            np.testing.assert_array_equal(batch.support_mask[t, n_s:], 0.0)
+            np.testing.assert_array_equal(batch.support_labels[t, :n_s], s_labels)
+            np.testing.assert_array_equal(batch.support_labels[t, n_s:], 0.0)
+            np.testing.assert_array_equal(batch.query_mask[t, :n_q], 1.0)
+            np.testing.assert_array_equal(batch.query_mask[t, n_q:], 0.0)
+            np.testing.assert_array_equal(batch.query_labels[t, :n_q], q_labels)
+            np.testing.assert_array_equal(batch.query_labels[t, n_q:], 0.0)
+            # Gathered item content at real positions == the dense copies.
+            np.testing.assert_array_equal(
+                content.item[batch.support_items[t, :n_s]], content.item[s_items]
+            )
+            np.testing.assert_array_equal(
+                content.item[batch.query_items[t, :n_q]], content.item[q_items]
+            )
 
     def test_corpus_bytes_far_below_materialized(self):
         # Realistic content width (the toy dim of this file understates the
@@ -236,11 +252,11 @@ class TestConstruction:
             for _ in range(3):
                 builder.add_rating_view(base, rng.random(N_ITEMS))
         corpus = builder.build()
-        assert corpus.nbytes * 5 <= corpus.materialized_nbytes()
+        assert corpus.nbytes * 5 <= oracle.dense_nbytes(corpus)
 
 
 class TestPackedEquivalence:
-    """The packed data path IS the materialized path, to float32 rounding."""
+    """The packed path IS the per-task dense oracle, to float32 rounding."""
 
     @given(n_tasks=st.integers(1, 5), local_only=st.booleans(), seed=seeds)
     @settings(max_examples=15, deadline=None)
@@ -248,13 +264,13 @@ class TestPackedEquivalence:
         corpus, _ = _corpus(seed=seed, n_tasks=n_tasks, k_views=2)
         config = dict(inner_lr=0.1, inner_steps=2, outer_lr=1e-2,
                       local_only_decision=local_only)
-        packed = MAML(_model(), MAMLConfig(packed=True, **config), seed=seed)
-        dense = MAML(_model(), MAMLConfig(packed=False, **config), seed=seed)
+        packed = MAML(_model(), MAMLConfig(**config), seed=seed)
+        dense = MAML(_model(), MAMLConfig(**config), seed=seed)
         _assert_tree_close(packed.params, dense.params)
         ids = np.arange(corpus.n_views)
         for _ in range(3):
             loss_p = packed.meta_step_corpus(corpus, ids)
-            loss_d = dense.meta_step(corpus.materialize(ids))
+            loss_d = oracle.meta_step(dense, oracle.dense_tasks(corpus, ids))
             np.testing.assert_allclose(loss_p, loss_d, rtol=RTOL, atol=ATOL)
         _assert_tree_close(packed.params, dense.params)
         _assert_tree_close(packed._optimizer._m, dense._optimizer._m)
@@ -268,7 +284,7 @@ class TestPackedEquivalence:
         seed=seeds,
     )
     @settings(max_examples=15, deadline=None)
-    def test_adapt_corpus_matches_adapt_many(self, n_tasks, steps, local_only, seed):
+    def test_adapt_corpus_matches_per_view_adapt(self, n_tasks, steps, local_only, seed):
         corpus, _ = _corpus(
             seed=seed, n_tasks=n_tasks, k_views=1, allow_empty=False
         )
@@ -278,7 +294,7 @@ class TestPackedEquivalence:
             seed=seed,
         )
         packed = maml.adapt_corpus(corpus, steps=steps, max_chunk=3)
-        dense = maml.adapt_many(corpus.materialize(), steps=steps, max_chunk=3)
+        dense = [oracle.adapt(maml, task, steps) for task in oracle.dense_tasks(corpus)]
         for fast_p, fast_d in zip(packed, dense):
             _assert_tree_close(fast_p, fast_d)
 
@@ -287,61 +303,50 @@ class TestPackedEquivalence:
     def test_fit_trace_packed_matches_materialized(self, seed):
         corpus, _ = _corpus(seed=seed, n_tasks=4, k_views=2)
         config = dict(inner_lr=0.05, outer_lr=5e-3, meta_batch_size=3)
-        packed = MAML(_model(), MAMLConfig(packed=True, **config), seed=seed)
-        dense = MAML(_model(), MAMLConfig(packed=False, **config), seed=seed)
+        packed = MAML(_model(), MAMLConfig(**config), seed=seed)
+        dense = MAML(_model(), MAMLConfig(**config), seed=seed)
         trace_p = packed.fit(corpus, epochs=2)
-        trace_d = dense.fit(corpus, epochs=2)
+        trace_d = oracle.fit(dense, corpus, epochs=2)
         np.testing.assert_allclose(trace_p, trace_d, rtol=RTOL, atol=ATOL)
         _assert_tree_close(packed.params, dense.params)
-
-    def test_fit_corpus_honors_vectorize_false(self):
-        """vectorize=False must route corpus fits through the scalar loop."""
-        corpus, _ = _corpus(seed=21, n_tasks=3, k_views=1, allow_empty=False)
-        config = dict(inner_lr=0.05, outer_lr=5e-3, meta_batch_size=2)
-        vec = MAML(_model(), MAMLConfig(packed=True, **config), seed=5)
-        scalar = MAML(
-            _model(), MAMLConfig(packed=True, vectorize=False, **config), seed=5
-        )
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("packed meta step ran despite vectorize=False")
-
-        scalar.meta_step_corpus = forbidden  # type: ignore[method-assign]
-        trace_s = scalar.fit(corpus, epochs=1)
-        trace_v = vec.fit(corpus, epochs=1)
-        np.testing.assert_allclose(trace_s, trace_v, rtol=RTOL, atol=ATOL)
 
     def test_adapt_task_states_packed_matches_materialized(self):
         rng = np.random.default_rng(11)
         content = _content(11)
         tasks = [_task(rng, n_support=int(rng.integers(1, 6))) for _ in range(6)]
         tasks = [tasks[0], None, tasks[1], tasks[0]] + tasks[2:]
-        packed = MAML(_model(), MAMLConfig(packed=True), seed=3)
-        dense = MAML(_model(), MAMLConfig(packed=False), seed=3)
-        states_p = adapt_task_states(packed, content.user, content.item, tasks, 2)
-        states_d = adapt_task_states(dense, content.user, content.item, tasks, 2)
-        assert states_p[1] is None and states_d[1] is None
-        assert states_p[0] is states_p[3]  # shared task -> shared dict
-        for sp, sd in zip(states_p, states_d):
-            if sp is None:
-                assert sd is None
-            else:
-                _assert_tree_close(sp, sd)
+        maml = MAML(_model(), MAMLConfig(), seed=3)
+        states = adapt_task_states(maml, content.user, content.item, tasks, 2)
+        assert states[1] is None
+        assert states[0] is states[3]  # shared task -> shared dict
+        for state, task in zip(states, tasks):
+            if task is None:
+                continue
+            dense = oracle.dense_task(
+                content.user,
+                content.item,
+                task.user_row,
+                task.support_items,
+                task.support_labels.astype(np.float32),
+                task.query_items,
+                task.query_labels.astype(np.float32),
+            )
+            _assert_tree_close(state, oracle.adapt(maml, dense, 2))
 
 
 class TestFitTraceGolden:
     def test_golden_fit_trace_regression(self):
-        """Deterministic packed-vs-materialized loss trace, pinned tightly.
+        """Deterministic packed-vs-oracle loss trace, pinned tightly.
 
-        The regression guard of the packed data path: same seed, same
-        corpus, same epochs — the two flags must walk the same loss curve
-        (and the curve must actually descend).
+        The regression guard of the packed path: same seed, same corpus,
+        same epochs — ``MAML.fit`` and the per-task oracle must walk the
+        same loss curve (and the curve must actually descend).
         """
         corpus, _ = _corpus(seed=1234, n_tasks=8, k_views=3, allow_empty=False)
         config = dict(inner_lr=0.05, outer_lr=5e-3, meta_batch_size=4)
-        packed = MAML(_model(), MAMLConfig(packed=True, **config), seed=7)
-        dense = MAML(_model(), MAMLConfig(packed=False, **config), seed=7)
+        packed = MAML(_model(), MAMLConfig(**config), seed=7)
+        dense = MAML(_model(), MAMLConfig(**config), seed=7)
         trace_p = packed.fit(corpus, epochs=4)
-        trace_d = dense.fit(corpus, epochs=4)
+        trace_d = oracle.fit(dense, corpus, epochs=4)
         np.testing.assert_allclose(trace_p, trace_d, rtol=RTOL, atol=ATOL)
         assert trace_p[-1] < trace_p[0]
