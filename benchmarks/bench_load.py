@@ -3,12 +3,16 @@
 Drives :class:`~repro.serve.ShardedService` with a heavy-tailed user stream
 — a hot head whose adaptations stay in each shard's LRU, a long tail whose
 cold fine-tuning is coalesced into per-flush ``adapt_users`` calls — and
-reports sustained QPS plus p50/p99 latency per worker count into the
-standard ``BENCH_*.json`` format.
+reports sustained QPS plus exact p50/p99 latency per worker count into
+the standard ``BENCH_*.json`` format.  Each worker count runs
+``ROUNDS`` rounds in this one process, interleaved with the other counts
+so drift hits every count alike; the gates compare per-count medians and
+the payload records each count's spread.
 
 Environment knobs (all optional):
 
-- ``BENCH_LOAD_WORKERS``: comma-separated worker counts (default ``1,2``).
+- ``BENCH_LOAD_WORKERS``: comma-separated worker counts (default ``1`` and
+  ``os.cpu_count()``).
 - ``BENCH_LOAD_REQUESTS``: stream length per trial (default ``160``).
 - ``BENCH_LOAD_RATE``: offered arrivals/s (default ``1500`` — well past
   one worker's capacity at smoke scale, so sustained QPS measures service
@@ -33,6 +37,9 @@ from repro.data.splits import Scenario
 from repro.obs import Histogram
 from repro.registry import build_method
 from repro.serve import ShardedService, run_open_loop, zipfian_users
+
+#: same-process rounds per worker count (odd: gates read the median round)
+ROUNDS = 3
 
 
 def _env_int(name: str, default: int) -> int:
@@ -67,9 +74,7 @@ def _run_trial(path: str, tasks, n_workers: int) -> dict:
     users = zipfian_users(
         [t.user_row for t in tasks], n_requests, alpha=alpha, seed=11
     )
-    with ShardedService(
-        path, n_workers=n_workers, cache_size=cache_size, max_wait_ms=2.0
-    ) as service:
+    with ShardedService(path, n_workers=n_workers, cache_size=cache_size) as service:
         assert service.wait_ready(timeout=120.0)
         for task in tasks:
             service.register_user_history(task)
@@ -102,9 +107,7 @@ def test_loadgen_and_service_percentiles_agree(load_artifact):
     users = zipfian_users(
         [t.user_row for t in tasks], 96, alpha=1.1, seed=13
     )
-    with ShardedService(
-        path, n_workers=2, cache_size=64, max_wait_ms=2.0
-    ) as service:
+    with ShardedService(path, n_workers=2, cache_size=64) as service:
         assert service.wait_ready(timeout=120.0)
         for task in tasks:
             service.register_user_history(task)
@@ -131,15 +134,34 @@ def test_loadgen_and_service_percentiles_agree(load_artifact):
         )
 
 
+def _default_workers() -> str:
+    return ",".join(str(w) for w in sorted({1, os.cpu_count() or 1}))
+
+
+def _median_trial(rounds: list[dict]) -> dict:
+    """The median-QPS round, plus every round's QPS and their spread."""
+    trial = dict(sorted(rounds, key=lambda r: r["qps"])[len(rounds) // 2])
+    qps = [r["qps"] for r in rounds]
+    trial["qps_rounds"] = qps
+    trial["qps_spread"] = (max(qps) - min(qps)) / max(trial["qps"], 1e-9)
+    return trial
+
+
 def test_sharded_load_scaling(benchmark, load_artifact):
     path, tasks = load_artifact
     worker_counts = [
-        int(w) for w in os.environ.get("BENCH_LOAD_WORKERS", "1,2").split(",")
+        int(w)
+        for w in os.environ.get("BENCH_LOAD_WORKERS", _default_workers()).split(",")
     ]
-    trials = {w: _run_trial(path, tasks, w) for w in worker_counts}
+    rounds: dict[int, list[dict]] = {w: [] for w in worker_counts}
+    for _ in range(ROUNDS):
+        for w in worker_counts:
+            rounds[w].append(_run_trial(path, tasks, w))
+    trials = {w: _median_trial(r) for w, r in rounds.items()}
     for w, trial in trials.items():
         print(
             f"\nworkers={w}: qps={trial['qps']:.0f} "
+            f"(spread {100 * trial['qps_spread']:.0f}% over {ROUNDS} rounds) "
             f"p50={trial['p50_ms']:.1f}ms p99={trial['p99_ms']:.1f}ms "
             f"(restarts={trial['restarts']})"
         )
@@ -160,14 +182,14 @@ def test_sharded_load_scaling(benchmark, load_artifact):
     benchmark.extra_info["qps_scale"] = round(scale, 3)
     floor = _env_float("BENCH_LOAD_SCALE_FLOOR", 0.0)
     assert scale >= floor, (
-        f"QPS scaled {scale:.2f}x from {min(worker_counts)} to {top} workers, "
-        f"below the {floor:.2f}x floor"
+        f"median QPS scaled {scale:.2f}x from {min(worker_counts)} to {top} "
+        f"workers, below the {floor:.2f}x floor"
     )
     if 1 in trials and 2 in trials:
         pair = trials[2]["qps"] / max(trials[1]["qps"], 1e-9)
         benchmark.extra_info["qps_scale_2w"] = round(pair, 3)
         pair_floor = _env_float("BENCH_LOAD_2W_FLOOR", 0.0)
         assert pair >= pair_floor, (
-            f"2-worker QPS is {pair:.2f}x the 1-worker QPS, "
+            f"2-worker median QPS is {pair:.2f}x the 1-worker median, "
             f"below the {pair_floor:.2f}x floor"
         )

@@ -69,34 +69,23 @@ class LoadReport:
     def latency_histogram(self) -> Histogram:
         """The latencies as a shared-layout :class:`~repro.obs.Histogram`.
 
-        Same bucket edges as the service-side span histograms, so
-        loadgen-reported and service-reported percentiles are comparable
-        bucket-for-bucket (both within one bucket ratio, ~1.585x, of the
-        true quantile).
+        Same bucket edges as the service-side span histograms, for merging
+        across processes and bucket-for-bucket comparison with
+        service-reported percentiles — not for reporting them.
         """
         hist = Histogram()
         hist.observe_many(self.latencies[~np.isnan(self.latencies)])
         return hist
 
     def to_dict(self) -> dict:
-        """Summary for reports: histogram-derived p50/p99 (see above).
-
-        ``p50_ms``/``p99_ms`` come from the shared log-bucket histogram —
-        directly comparable with service-side span percentiles, at bucket
-        resolution.  The exact array percentiles stay available through
-        :meth:`percentile` and ride along as ``p50_exact_ms``/
-        ``p99_exact_ms``.
-        """
-        hist = self.latency_histogram()
+        """Summary for reports; ``p50_ms``/``p99_ms`` are exact percentiles."""
         return {
             "n_requests": self.n_requests,
             "offered_rate": self.offered_rate,
             "elapsed_s": self.elapsed,
             "qps": self.qps,
-            "p50_ms": hist.percentile(50) * 1e3,
-            "p99_ms": hist.percentile(99) * 1e3,
-            "p50_exact_ms": self.percentile(50) * 1e3,
-            "p99_exact_ms": self.percentile(99) * 1e3,
+            "p50_ms": self.percentile(50) * 1e3,
+            "p99_ms": self.percentile(99) * 1e3,
         }
 
 

@@ -6,10 +6,14 @@ Requests are routed by ``user_row % n_workers``, so each worker's
 adaptation LRU owns a disjoint slice of the user base — no cross-worker
 cache duplication.  Every shard gets its own
 :class:`~repro.service.MicroBatcher` on the parent side: concurrent
-``submit`` calls coalesce into per-shard micro-batches (``max_wait_ms``
-deadline, ``max_batch`` cap) that cross the process boundary as **one**
-``batch`` RPC, and the worker resolves the whole flush's cold-start users
-with one ``adapt_users`` call.
+``submit`` calls coalesce into per-shard micro-batches that cross the
+process boundary as **one** ``batch`` RPC, and the worker resolves the
+whole flush's cold-start users with one ``adapt_users`` call.  A flush
+is everything queued while the shard's previous flush ran (up to
+``max_batch``): a lone request is sent at once, never held for company.
+
+Each worker runs OpenBLAS on one thread (see :mod:`repro.serve.worker`):
+the shards are the serving tier's parallelism.
 
 Because the workers memory-map one shared artifact and score each request
 through the same solo path the single-process facade uses (see
@@ -154,8 +158,8 @@ class ShardedService:
         per-worker adaptation LRU capacity.
     candidate_pool:
         optional global candidate restriction, forwarded to every worker.
-    max_batch / max_wait_ms:
-        per-shard coalescing window (see :class:`MicroBatcher`).
+    max_batch:
+        per-shard flush size cap (see :class:`MicroBatcher`).
     mmap_mode:
         how workers load the artifact; ``"r"`` (default) maps it read-only,
         ``None`` forces the old eager load.
@@ -187,7 +191,6 @@ class ShardedService:
         cache_size: int = 256,
         candidate_pool: np.ndarray | None = None,
         max_batch: int = 32,
-        max_wait_ms: float = 2.0,
         mmap_mode: str | None = "r",
         start_method: str | None = None,
         heartbeat_interval: float = 0.5,
@@ -257,7 +260,6 @@ class ShardedService:
             shard.batcher = MicroBatcher(
                 self._make_flush(shard),
                 max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
                 metrics=self.metrics,
             )
         self._stop = threading.Event()
@@ -416,8 +418,14 @@ class ShardedService:
             for shard in self._shards:
                 if shard.failed is not None:
                     continue
-                if shard.proc is not None and not shard.proc.is_alive():
-                    self._revive(shard, shard.generation)
+                # Read the process and its generation together: a revival
+                # in flight bumps the generation before it swaps the
+                # process, and a dead process paired with the new
+                # generation would restart the healthy replacement.
+                with shard.lock:
+                    proc, generation = shard.proc, shard.generation
+                if proc is not None and not proc.is_alive():
+                    self._revive(shard, generation)
                 else:
                     self._poll_shard_metrics(shard)
 
@@ -605,7 +613,7 @@ class ShardedService:
             self._finish_degraded(call, "breaker")
             return
         call.attempts += 1
-        inner = shard.batcher.submit(call.request, None, deadline=call.deadline)
+        inner = shard.batcher.submit(call.request, None)
         inner.add_done_callback(lambda f, c=call: self._settle(c, f))
 
     def _settle(self, call: _ResilientCall, inner: Future) -> None:
@@ -921,13 +929,11 @@ class ShardedService:
                     # Fold the dead predecessors' totals back into the
                     # per-shard view; gauges (cache size, pending) come
                     # from the live worker only.
-                    pid = worker.get("pid")
-                    batching = worker.get("batching")
+                    live_worker = worker
                     worker = service_stats_view(merged)
-                    if pid is not None:
-                        worker["pid"] = pid
-                    if batching is not None:
-                        worker["batching"] = batching
+                    for key in ("pid", "blas_threads", "batching"):
+                        if key in live_worker:
+                            worker[key] = live_worker[key]
             entry["worker"] = worker
             shards.append(entry)
         return {

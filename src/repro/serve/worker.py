@@ -18,6 +18,11 @@ exception is reported back as ``(req_id, False, message)``; the worker only
 exits on ``shutdown`` or a closed pipe, so one bad request never kills the
 shard.
 
+Before loading the artifact the worker caps its own OpenBLAS at one
+thread: the shards are the serving tier's parallelism, and each worker
+running a full BLAS pool would oversubscribe the cores the workers share
+with the front-end.  The front-end process keeps its own thread count.
+
 The module is import-light and the entry point takes only picklable
 arguments (path string, a frozen options dataclass), so it is spawn-safe.
 """
@@ -29,6 +34,8 @@ from dataclasses import dataclass
 from multiprocessing.connection import Connection
 
 import numpy as np
+
+from repro.utils.blas import blas_threads
 
 #: req_id of unsolicited worker -> parent control messages (the ready
 #: handshake); real request ids start at 0.
@@ -67,6 +74,7 @@ def run_worker(
     """
     from repro.service import RecommenderService
 
+    blas_threads(1)
     injector = None
     if options.fault_plan is not None:
         injector = options.fault_plan.injector(shard_index, incarnation)
@@ -152,6 +160,7 @@ def _handle(service, kind: str, payload):
         return {
             **service.stats(),
             "pid": os.getpid(),
+            "blas_threads": blas_threads(),
             "metrics": service.metrics.snapshot(),
         }
     if kind == "ping":

@@ -10,7 +10,8 @@ artifact:
   fine-tuning of meta-learners (MeLU, MetaDPA) is paid once per user
   rather than once per request,
 - an optional micro-batching queue coalescing concurrent ``recommend``
-  calls into one batched ``score_with_state_batch``.
+  calls into one batched ``score_with_state_batch``: each flush takes
+  everything queued while the previous flush ran, never a timer window.
 
 Cold-start adaptation is batched wherever more than one user needs it at
 once: :meth:`RecommenderService.recommend_many` and every micro-batch
@@ -137,7 +138,6 @@ class RecommenderService:
         cache_size: int = 256,
         batching: bool = False,
         max_batch: int = 32,
-        max_wait_ms: float = 2.0,
         refresh_every: int = 0,
         refresh_lr: float = 0.1,
         refresh_steps: int | None = None,
@@ -185,7 +185,6 @@ class RecommenderService:
             self._batcher = MicroBatcher(
                 self._score_flush,
                 max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
                 metrics=self.metrics,
             )
 

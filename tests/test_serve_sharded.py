@@ -11,6 +11,7 @@ the same solo ``score_with_state`` path ``recommend`` uses.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import threading
 import time
 
@@ -20,9 +21,10 @@ import pytest
 from repro.core.interface import Recommender
 from repro.data.splits import Scenario
 from repro.registry import build_method
-from repro.serve import ShardedService, run_open_loop, zipfian_users
-from repro.serve.loadgen import zipf_probabilities
+from repro.serve import FaultPlan, FaultSpec, ShardedService, run_open_loop, zipfian_users
+from repro.serve.loadgen import LoadReport, zipf_probabilities
 from repro.service import RecommenderService
+from repro.utils.blas import blas_threads
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +104,7 @@ class TestShardedEquivalence:
             reference.register_user_history(tasks[user])
         expected = [reference.recommend(u, k=7) for u in stream]
 
-        with ShardedService(path, n_workers=3, max_wait_ms=5.0) as service:
+        with ShardedService(path, n_workers=3) as service:
             assert service.wait_ready(timeout=60.0)
             for user in users:
                 service.register_user_history(tasks[user])
@@ -117,7 +119,7 @@ class TestShardedEquivalence:
     def test_recommend_many_round_trips_all_shards(self, artifact):
         path, tasks = artifact
         users = sorted(tasks)[:6]
-        with ShardedService(path, n_workers=2, max_wait_ms=2.0) as service:
+        with ShardedService(path, n_workers=2) as service:
             results = service.recommend_many(users, k=5)
         assert [r.user_row for r in results] == users
         assert all(len(r) == 5 for r in results)
@@ -131,7 +133,7 @@ class TestShardedEquivalence:
             reference.register_user_history(tasks[user])
         expected = {u: reference.recommend(u, k=5) for u in users}
 
-        with ShardedService(path, n_workers=2, max_wait_ms=10.0) as service:
+        with ShardedService(path, n_workers=2) as service:
             for user in users:
                 service.register_user_history(tasks[user])
             results: dict[int, object] = {}
@@ -162,17 +164,25 @@ class TestColdStartBatching:
         """A mixed cached/uncached burst costs exactly one adapt_users RPC."""
         path, tasks = artifact
         users = sorted(tasks)[:8]
-        with ShardedService(path, n_workers=1, max_wait_ms=100.0) as service:
+        # Flushes 1-4 warm half the users one at a time; flush 5 is held
+        # busy in the worker so the burst queues behind it.
+        plan = FaultPlan(faults=(FaultSpec(kind="rpc_delay", at=5, seconds=1.0),))
+        with ShardedService(path, n_workers=1, fault_plan=plan) as service:
             assert service.wait_ready(timeout=60.0)
             for user in users:
                 service.register_user_history(tasks[user])
-            # Warm half the users (one flush), then burst hot+cold mixed.
-            warm = service.recommend_many(users[:4], k=5)
-            assert len(warm) == 4
+            for user in users[:4]:
+                service.recommend(user, k=5)
             before = service.stats()["shards"][0]["worker"]["adaptation"]
-            futures = [service.submit(u, k=5) for u in users]
-            for future in futures:
+            batcher = service._shards[0].batcher
+            held = service.submit(users[0], k=5)
+            while batcher.n_batches < 5:
+                time.sleep(0.001)
+            # Burst hot+cold mixed while flush 5 is in flight.
+            futures = [service.submit(u, k=5) for u in users[1:]]
+            for future in [held, *futures]:
                 future.result(timeout=60.0)
+            assert batcher.n_batches == 6
             after = service.stats()["shards"][0]["worker"]["adaptation"]
         assert after["batches"] - before["batches"] == 1
         assert after["users"] - before["users"] == 4  # only the cold half
@@ -185,7 +195,7 @@ class TestColdStartBatching:
         odd = [u for u in sorted(tasks) if u % 2 == 1][:3]
         users = even + odd
         assert even and odd
-        with ShardedService(path, n_workers=2, max_wait_ms=2.0) as service:
+        with ShardedService(path, n_workers=2) as service:
             for user in users:
                 service.register_user_history(tasks[user])
             service.recommend_many(users, k=5)
@@ -204,7 +214,7 @@ class TestColdStartBatching:
     def test_invalidate_forces_readaptation(self, artifact):
         path, tasks = artifact
         user = sorted(tasks)[0]
-        with ShardedService(path, n_workers=1, max_wait_ms=2.0) as service:
+        with ShardedService(path, n_workers=1) as service:
             service.register_user_history(tasks[user])
             service.recommend(user, k=5)
             before = service.stats()["shards"][0]["worker"]["adaptation"]["users"]
@@ -220,7 +230,7 @@ class TestSupervision:
         path, tasks = artifact
         user = sorted(tasks)[0]
         with ShardedService(
-            path, n_workers=2, max_wait_ms=2.0, heartbeat_interval=0.05
+            path, n_workers=2, heartbeat_interval=0.05
         ) as service:
             assert service.wait_ready(timeout=60.0)
             service.register_user_history(tasks[user])
@@ -245,7 +255,7 @@ class TestSupervision:
         path, tasks = artifact
         user = sorted(tasks)[0]
         with ShardedService(
-            path, n_workers=1, max_wait_ms=2.0, heartbeat_interval=0.05
+            path, n_workers=1, heartbeat_interval=0.05
         ) as service:
             service.register_user_history(tasks[user])
             first = service.recommend(user, k=5)
@@ -262,7 +272,7 @@ class TestSupervision:
         path, tasks = artifact
         users = sorted(tasks)
         with ShardedService(
-            path, n_workers=2, max_wait_ms=2.0, heartbeat_interval=0.05
+            path, n_workers=2, heartbeat_interval=0.05
         ) as service:
             assert service.wait_ready(timeout=60.0)
             futures = [service.submit(u, k=5) for u in users * 3]
@@ -274,11 +284,11 @@ class TestSupervision:
     def test_close_mid_burst_flushes_rather_than_drops(self, artifact):
         path, tasks = artifact
         users = sorted(tasks)[:8]
-        service = ShardedService(path, n_workers=2, max_wait_ms=500.0)
+        service = ShardedService(path, n_workers=2)
         assert service.wait_ready(timeout=60.0)
         futures = [service.submit(u, k=5) for u in users]
-        # Close immediately: the 500ms coalescing window has not elapsed,
-        # so every future is still pending inside the batchers.
+        # Close immediately: most of the burst is still queued behind each
+        # shard's first in-flight flush, and close must serve it, not drop it.
         service.close()
         for future in futures:
             result = future.result(timeout=5.0)
@@ -289,14 +299,32 @@ class TestSupervision:
     def test_spawn_start_method_serves(self, artifact):
         path, _ = artifact
         reference = RecommenderService.from_artifact(path)
-        with ShardedService(
-            path, n_workers=1, start_method="spawn", max_wait_ms=2.0
-        ) as service:
+        with ShardedService(path, n_workers=1, start_method="spawn") as service:
             assert service.wait_ready(timeout=120.0)
             got = service.recommend(3, k=5)
         want = reference.recommend(3, k=5)
         assert np.array_equal(want.items, got.items)
         assert np.array_equal(want.scores, got.scores)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_workers_run_one_blas_thread_frontend_keeps_its_own(
+        self, artifact, start_method
+    ):
+        if start_method not in mp.get_all_start_methods():
+            pytest.skip(f"{start_method} is not available on this platform")
+        frontend = blas_threads()
+        if frontend is None:
+            pytest.skip("no OpenBLAS is loaded")
+        path, _ = artifact
+        with ShardedService(path, n_workers=2, start_method=start_method) as service:
+            assert service.wait_ready(timeout=120.0)
+            service.recommend_many([3, 4], k=5)
+            assert blas_threads() == frontend
+            shards = service.stats()["shards"]
+        assert [entry["worker"]["blas_threads"] for entry in shards] == [1, 1]
+        assert blas_threads() == frontend
 
 
 class TestMetricsMerging:
@@ -305,7 +333,7 @@ class TestMetricsMerging:
     def test_merged_snapshot_has_serving_histograms(self, artifact):
         path, tasks = artifact
         users = sorted(tasks)[:8]
-        with ShardedService(path, n_workers=2, max_wait_ms=2.0) as service:
+        with ShardedService(path, n_workers=2) as service:
             assert service.wait_ready(timeout=60.0)
             for user in users:
                 service.register_user_history(tasks[user])
@@ -351,7 +379,7 @@ class TestMetricsMerging:
         path, tasks = artifact
         users = sorted(tasks)[:6]
         with ShardedService(
-            path, n_workers=2, max_wait_ms=2.0, heartbeat_interval=0.05
+            path, n_workers=2, heartbeat_interval=0.05
         ) as service:
             assert service.wait_ready(timeout=60.0)
             for user in users:
@@ -456,10 +484,20 @@ class TestLoadGenerator:
         payload = report.to_dict()
         assert {"qps", "p50_ms", "p99_ms", "elapsed_s"} <= set(payload)
 
+    def test_report_percentiles_are_exact(self):
+        latencies = np.random.default_rng(0).lognormal(-6.0, 1.0, size=997)
+        report = LoadReport(
+            n_requests=latencies.size, offered_rate=100.0, elapsed=10.0,
+            latencies=latencies,
+        )
+        payload = report.to_dict()
+        assert payload["p50_ms"] == np.percentile(latencies, 50) * 1e3
+        assert payload["p99_ms"] == np.percentile(latencies, 99) * 1e3
+
     def test_open_loop_against_sharded_service(self, artifact):
         path, tasks = artifact
         users = sorted(tasks)[:8]
-        with ShardedService(path, n_workers=2, max_wait_ms=2.0) as service:
+        with ShardedService(path, n_workers=2) as service:
             assert service.wait_ready(timeout=60.0)
             stream = zipfian_users(users, 30, alpha=1.1, seed=2)
             report = run_open_loop(service.submit, stream, rate=500.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -285,9 +287,7 @@ class TestRecommenderService:
 
     def test_batching_path_matches_direct(self, fitted_melu, cold_task):
         task, _ = cold_task
-        with RecommenderService(
-            fitted_melu, batching=True, max_wait_ms=1.0
-        ) as batched:
+        with RecommenderService(fitted_melu, batching=True) as batched:
             batched.register_user_history(task)
             direct = RecommenderService(fitted_melu)
             direct.register_user_history(task)
@@ -427,35 +427,53 @@ class TestRecommendBatch:
         tasks = self._cold_tasks(bench_experiment, 6)
         counting = _CountingBatchMethod(fitted_melu)
         reference = RecommenderService(fitted_melu, cache_size=16)
-        with RecommenderService(
-            counting, batching=True, cache_size=16, max_wait_ms=250.0
-        ) as service:
+        held, release = threading.Event(), threading.Event()
+        score_batch = counting.score_with_state_batch
+
+        def hold_first_flush(states, instances):
+            if not held.is_set():
+                held.set()
+                assert release.wait(timeout=30.0)
+            return score_batch(states, instances)
+
+        with RecommenderService(counting, batching=True, cache_size=16) as service:
             for task in tasks:
                 service.register_user_history(task)
                 reference.register_user_history(task)
             # Warm 3 users one at a time (each blocking call is its own
-            # flush), then burst all 6 concurrently into a single flush.
+            # flush).
             for task in tasks[:3]:
                 service.recommend(task.user_row, k=5)
             calls_before = counting.adapt_users_calls
             batches_before = service.stats()["adaptation"]["batches"]
+            flushes_before = service.stats()["batching"]["batches"]
             results: dict[int, object] = {}
 
             def request(user):
                 results[user] = service.recommend(user, k=5)
 
+            # Hold a warm user's flush busy so the whole burst of 6 queues
+            # behind it and rides the next flush together.
+            counting.score_with_state_batch = hold_first_flush
+            blocker = threading.Thread(target=request, args=(tasks[0].user_row,))
+            blocker.start()
+            assert held.wait(timeout=30.0)
             threads = [
                 threading.Thread(target=request, args=(t.user_row,))
                 for t in tasks
             ]
             for thread in threads:
                 thread.start()
-            for thread in threads:
+            while service._batcher._queue.qsize() < len(tasks):
+                time.sleep(0.001)
+            release.set()
+            for thread in [blocker, *threads]:
                 thread.join()
             stats = service.stats()
-        # One flush resolved the whole burst: a single adapt_users call
-        # fine-tuned exactly the 3 cache-missed users, and the pending
-        # depth drained back to zero.
+        # The held flush adapted nobody; one flush resolved the whole burst:
+        # a single adapt_users call fine-tuned exactly the 3 cache-missed
+        # users, and the pending depth drained back to zero.
+        assert stats["batching"]["batches"] == flushes_before + 2
         assert counting.adapt_users_calls == calls_before + 1
         assert stats["adaptation"]["batches"] == batches_before + 1
         assert stats["adaptation"]["pending"] == 0
@@ -506,7 +524,7 @@ class TestMicroBatcher:
     def test_threaded_worker_serves_concurrent_submits(self):
         import threading
 
-        batcher = MicroBatcher(self._echo_scorer, max_wait_ms=20.0)
+        batcher = MicroBatcher(self._echo_scorer)
         futures: list = []
         lock = threading.Lock()
 
@@ -526,10 +544,9 @@ class TestMicroBatcher:
         assert all(np.array_equal(r, [0.0, 1.0, 2.0]) for r in results)
 
     def test_close_flushes_partially_filled_batch(self):
-        # A long wait window keeps the batch open (3 of 64 slots filled);
-        # close() must serve those requests promptly, not wait the window
-        # out or drop them.
-        batcher = MicroBatcher(self._echo_scorer, max_batch=64, max_wait_ms=5000.0)
+        # Requests still queued when close() is called (3 of 64 slots
+        # filled) are served promptly, not dropped.
+        batcher = MicroBatcher(self._echo_scorer, max_batch=64)
         futures = [
             batcher.submit(None, EvalInstance(u, 0, np.array([1, 2])))
             for u in range(3)
@@ -568,7 +585,7 @@ class TestMicroBatcher:
         def broken(states, instances):
             raise RuntimeError("artifact vanished")
 
-        batcher = MicroBatcher(broken, max_batch=64, max_wait_ms=5000.0)
+        batcher = MicroBatcher(broken, max_batch=64)
         futures = [
             batcher.submit(None, EvalInstance(u, 0, np.array([1, 2])))
             for u in range(3)
@@ -579,44 +596,32 @@ class TestMicroBatcher:
             with pytest.raises(RuntimeError, match="artifact vanished"):
                 future.result()
 
-    def test_deadline_caps_the_flush_window(self):
-        import time
+    def test_dispatch_on_idle_coalesces_what_queued_during_a_flush(self):
+        import threading
 
-        # The window is 5s, but the request only has ~50ms of budget left:
-        # the batch must fire at the deadline, not at the window's end.
-        batcher = MicroBatcher(self._echo_scorer, max_batch=64, max_wait_ms=5000.0)
-        t0 = time.monotonic()
-        future = batcher.submit(
-            None,
-            EvalInstance(0, 0, np.array([1, 2])),
-            deadline=time.time() + 0.05,
-        )
-        np.testing.assert_array_equal(
-            future.result(timeout=5.0), [0.0, 1.0, 2.0]
-        )
-        assert time.monotonic() - t0 < 2.0
+        # No timer window: a lone request is flushed at once, and the
+        # requests that arrive while that flush runs form the next one.
+        started, release = threading.Event(), threading.Event()
+        sizes: list[int] = []
+
+        def blocking_scorer(states, instances):
+            sizes.append(len(states))
+            if len(sizes) == 1:
+                started.set()
+                assert release.wait(timeout=30.0)
+            return self._echo_scorer(states, instances)
+
+        batcher = MicroBatcher(blocking_scorer, max_batch=64)
+        first = batcher.submit(None, EvalInstance(0, 0, np.array([1, 2])))
+        assert started.wait(timeout=30.0)
+        rest = [
+            batcher.submit(None, EvalInstance(u, 0, np.array([1, 2])))
+            for u in range(1, 6)
+        ]
+        release.set()
+        for future in [first, *rest]:
+            np.testing.assert_array_equal(
+                future.result(timeout=30.0), [0.0, 1.0, 2.0]
+            )
         batcher.close()
-
-    def test_late_arrival_deadline_shrinks_an_open_window(self):
-        import time
-
-        # First request opens a 5s window; a second request with a tight
-        # deadline joins it and must pull the whole flush forward.
-        batcher = MicroBatcher(self._echo_scorer, max_batch=64, max_wait_ms=5000.0)
-        t0 = time.monotonic()
-        relaxed = batcher.submit(None, EvalInstance(0, 0, np.array([1, 2])))
-        time.sleep(0.05)  # let the worker open the window on the first
-        urgent = batcher.submit(
-            None,
-            EvalInstance(1, 0, np.array([1, 2])),
-            deadline=time.time() + 0.05,
-        )
-        np.testing.assert_array_equal(
-            urgent.result(timeout=5.0), [0.0, 1.0, 2.0]
-        )
-        np.testing.assert_array_equal(
-            relaxed.result(timeout=5.0), [0.0, 1.0, 2.0]
-        )
-        assert time.monotonic() - t0 < 2.0
-        assert batcher.n_batches == 1  # one coalesced flush, pulled forward
-        batcher.close()
+        assert sizes == [1, 5]

@@ -398,7 +398,7 @@ class TestServingCacheCorrectness:
         user = sorted(cold_tasks)[0]
         exploding = _ExplodingMethod(melu)
         with RecommenderService(
-            exploding, cache_size=8, batching=True, max_wait_ms=1.0
+            exploding, cache_size=8, batching=True
         ) as service:
             service.register_user_history(cold_tasks[user])
             exploding.explode = True
@@ -432,7 +432,7 @@ class TestShardedStreaming:
         """
         path, tasks = stream_artifact
         user = sorted(tasks)[0]
-        with ShardedService(path, n_workers=1, max_wait_ms=2.0) as service:
+        with ShardedService(path, n_workers=1) as service:
             assert service.wait_ready(timeout=60.0)
             first = service.recommend(user, k=5, task=tasks[user])
             before = service.stats()["shards"][0]["worker"]["adaptation"]["users"]
@@ -446,7 +446,7 @@ class TestShardedStreaming:
         path, tasks = stream_artifact
         # Two users owned by the same shard under user % 2 routing.
         even = [u for u in sorted(tasks) if u % 2 == 0][:2]
-        with ShardedService(path, n_workers=2, max_wait_ms=2.0) as service:
+        with ShardedService(path, n_workers=2) as service:
             assert service.wait_ready(timeout=60.0)
             for user in even:
                 service.register_user_history(tasks[user])
@@ -487,7 +487,7 @@ class TestShardedStreaming:
         for user in users:
             reference.register_user_history(tasks[user])
         expected = run(reference)
-        with ShardedService(path, n_workers=2, max_wait_ms=2.0) as service:
+        with ShardedService(path, n_workers=2) as service:
             assert service.wait_ready(timeout=60.0)
             for user in users:
                 service.register_user_history(tasks[user])
@@ -502,7 +502,7 @@ class TestShardedStreaming:
         ops = mixed_zipfian_stream(users, range(10), 40, write_frac=0.3, seed=2)
         n_writes = sum(1 for op in ops if op.kind == "write")
         assert 0 < n_writes < len(ops)
-        with ShardedService(path, n_workers=2, max_wait_ms=2.0) as service:
+        with ShardedService(path, n_workers=2) as service:
             assert service.wait_ready(timeout=60.0)
             for user in users:
                 service.register_user_history(tasks[user])
